@@ -335,6 +335,13 @@ func BenchmarkAgentEpochColumnar(b *testing.B) {
 	}
 }
 
+// BenchmarkShipEncodeCompressed measures the agent's ship stage (frame
+// encode plus flate) and BenchmarkRecvDecodeCompressed the SP's receive
+// stage (inflate plus SoA decode) on one drain-heavy columnar epoch; the
+// bodies live in internal/benchcase, shared with jarvis-bench -exp micro.
+func BenchmarkShipEncodeCompressed(b *testing.B) { benchcase.ShipEncodeCompressed(b) }
+func BenchmarkRecvDecodeCompressed(b *testing.B) { benchcase.RecvDecodeCompressed(b) }
+
 // BenchmarkSPIngest measures the row-path SP ingest (the canonical setup
 // lives in internal/benchcase, shared with jarvis-bench -exp micro);
 // BenchmarkSPIngestColumnar drives the identical record sequence through

@@ -109,6 +109,12 @@ func runMicro(outPath string) error {
 	}
 	records = append(records, wireRecs...)
 
+	shipRecs, err := shipCompressRecords()
+	if err != nil {
+		return err
+	}
+	records = append(records, shipRecs...)
+
 	obsRecs, err := obsOverheadRecords()
 	if err != nil {
 		return err
@@ -619,6 +625,34 @@ func record(name string, totalBytes int64, r testing.BenchmarkResult) BenchRecor
 		MBPerSec:    mbps,
 		Iterations:  r.N,
 	}
+}
+
+// shipCompressRecords times the compressed ship and receive stages of
+// one drain-heavy columnar epoch (benchcase.DrainEpochColumnar): the
+// agent's frame encode plus flate, and the SP's inflate plus SoA decode.
+// Their MB/s is over the uncompressed frame bytes; the epoch's wire
+// (flate) and raw (uncompressed) sizes are recorded beside them in
+// bytes_per_op.
+func shipCompressRecords() ([]BenchRecord, error) {
+	res, err := benchcase.DrainEpochColumnar()
+	if err != nil {
+		return nil, err
+	}
+	raw, err := benchcase.EncodeEpoch(res, false)
+	if err != nil {
+		return nil, err
+	}
+	data, err := benchcase.EncodeEpoch(res, true)
+	if err != nil {
+		return nil, err
+	}
+	rawBytes := int64(len(raw))
+	return []BenchRecord{
+		record("BenchmarkShipEncodeCompressed", rawBytes, testing.Benchmark(benchcase.ShipEncodeCompressed)),
+		record("BenchmarkRecvDecodeCompressed", rawBytes, testing.Benchmark(benchcase.RecvDecodeCompressed)),
+		{Name: "ShipEpochWireBytes", BytesPerOp: int64(len(data)), Iterations: 1},
+		{Name: "ShipEpochRawBytes", BytesPerOp: rawBytes, Iterations: 1},
+	}, nil
 }
 
 // wireBytesRecords measures bytes-on-wire per shipped agent epoch for

@@ -8,6 +8,8 @@ package benchcase
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"testing"
 
 	"jarvis/internal/core"
 	"jarvis/internal/plan"
@@ -103,6 +105,16 @@ func WarmPipeline(epochs int) (*stream.Pipeline, error) {
 	return pipe, nil
 }
 
+// drainPipeline returns an S2SProbe pipeline with every load factor at
+// 0, so each epoch ships its whole input to the SP.
+func drainPipeline() (*stream.Pipeline, error) {
+	pipe, err := stream.NewPipeline(plan.S2SProbe(), stream.DefaultOptions(1.0, 0))
+	if err != nil {
+		return nil, err
+	}
+	return pipe, pipe.SetLoadFactors([]float64{0, 0, 0})
+}
+
 // ShippedEpoch returns one drain-heavy epoch (all load factors at zero,
 // so the full raw batch ships to the SP) plus the same epoch encoded as
 // wire-v2 columnar frames — the input for the decode and replay-apply
@@ -110,22 +122,109 @@ func WarmPipeline(epochs int) (*stream.Pipeline, error) {
 // re-applies (the sequenced shipper negotiates v2 between current
 // builds, so columnar is the shipped format).
 func ShippedEpoch() (stream.EpochResult, []byte, error) {
-	pipe, err := stream.NewPipeline(plan.S2SProbe(), stream.DefaultOptions(1.0, 0))
+	pipe, err := drainPipeline()
 	if err != nil {
-		return stream.EpochResult{}, nil, err
-	}
-	if err := pipe.SetLoadFactors([]float64{0, 0, 0}); err != nil {
 		return stream.EpochResult{}, nil, err
 	}
 	gen := workload.NewPingGen(workload.DefaultPingConfig(1))
 	res := pipe.RunEpoch(gen.NextWindow(1_000_000))
+	data, err := EncodeEpoch(res, false)
+	return res, data, err
+}
+
+// DrainEpochColumnar returns one columnar S2SProbe epoch with every
+// load factor at 0, so the whole SoA wave of one second of Pingmesh data
+// drains to the SP still in column form — the input that the agent's
+// ship stage (encode plus flate) and the SP's receive stage (inflate
+// plus SoA decode) handle on the drain-heavy production path. The
+// result's columns stay valid because the pipeline runs no further
+// epoch.
+func DrainEpochColumnar() (stream.EpochResult, error) {
+	pipe, err := drainPipeline()
+	if err != nil {
+		return stream.EpochResult{}, err
+	}
+	gen := workload.NewPingGen(workload.DefaultPingConfig(1))
+	var cb wire.ColumnarBatch
+	gen.NextWindowCols(1_000_000, &cb)
+	return pipe.RunEpochColumnar(&cb), nil
+}
+
+// EncodeEpoch ships res through a columnar Shipper into memory, with or
+// without flate, and returns the bytes that would cross the wire.
+func EncodeEpoch(res stream.EpochResult, compress bool) ([]byte, error) {
 	var buf bytes.Buffer
 	sh := transport.NewShipper(1, &buf)
 	sh.EnableColumnar()
-	if err := sh.ShipEpoch(res); err != nil {
-		return stream.EpochResult{}, nil, err
+	if compress {
+		sh.EnableCompression()
 	}
-	return res, buf.Bytes(), nil
+	if err := sh.ShipEpoch(res); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// ShipEncodeCompressed is the body of BenchmarkShipEncodeCompressed:
+// the agent's ship stage on the DrainEpochColumnar epoch, wire-v2 frame
+// encode plus flate, as a Shipper with compression negotiated runs it.
+// SetBytes is the uncompressed frame volume.
+func ShipEncodeCompressed(b *testing.B) {
+	res, err := DrainEpochColumnar()
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := EncodeEpoch(res, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sh := transport.NewShipper(1, io.Discard)
+	sh.EnableColumnar()
+	sh.EnableCompression()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sh.ShipEpoch(res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// RecvDecodeCompressed is the body of BenchmarkRecvDecodeCompressed: the
+// SP's receive stage on the same epoch, inflate plus SoA decode of every
+// frame, with pooled column arenas recycled per epoch as the receiver
+// does at commit.
+func RecvDecodeCompressed(b *testing.B) {
+	res, err := DrainEpochColumnar()
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := EncodeEpoch(res, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := EncodeEpoch(res, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fr := wire.NewFrameReader(bytes.NewReader(data))
+	fr.SetColumnarExec(true)
+	fr.EnableArenaPooling()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fr.Reset(bytes.NewReader(data))
+		for {
+			if _, err := fr.ReadFrame(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+		fr.RecycleArenas()
+	}
 }
 
 // PipelineEpochColumnar builds the SoA agent-epoch benchmark: the

@@ -341,16 +341,13 @@ func (d *ColumnarDecoder) headerCols(r *reader, n int) (times, windows []int64) 
 	return times, windows
 }
 
-// u32Col decodes one packed big-endian uint32 column into an arena.
+// u32Col decodes one delta-packed uint32 column into an arena.
 func (d *ColumnarDecoder) u32Col(r *reader, n int) []uint32 {
-	raw := r.take(4 * n)
 	if r.err != nil {
 		return nil
 	}
 	out := d.u32Arena(n)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(raw[4*i:])
-	}
+	r.u32Deltas(out)
 	return out
 }
 
@@ -403,7 +400,8 @@ func (d *ColumnarDecoder) decodeSectionCols(r *reader, cb *ColumnarBatch) error 
 	}
 	sec := ColSec{Tag: tag}
 	switch tag {
-	case TagPingProbe:
+	case tagPingSection:
+		sec.Tag = TagPingProbe
 		sec.Times, sec.Windows = d.headerCols(r, n)
 		c := &PingCols{TS: d.tsCol(r, sec.Times)}
 		c.SrcIP = d.u32Col(r, n)
@@ -413,7 +411,8 @@ func (d *ColumnarDecoder) decodeSectionCols(r *reader, cb *ColumnarBatch) error 
 		c.RTT = d.u32Col(r, n)
 		c.Err = d.u32Col(r, n)
 		sec.Ping = c
-	case TagToRProbe:
+	case tagToRSection:
+		sec.Tag = TagToRProbe
 		sec.Times, sec.Windows = d.headerCols(r, n)
 		c := &ToRCols{TS: d.tsCol(r, sec.Times)}
 		c.SrcToR = d.u32Col(r, n)

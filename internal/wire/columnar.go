@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -15,9 +16,15 @@ import (
 // pays one struct allocation (plus string allocations) per record. A v2
 // frame stores the same batch column-wise: records are grouped into
 // *sections* of consecutive same-type records, and each section holds
-// per-field contiguous arrays — event times and windows as zigzag-delta
-// varints, fixed-width numeric fields as packed big-endian arrays, and
-// strings as references into a per-frame string table. The decoder
+// per-field contiguous arrays — event times, windows and every uint32
+// probe field (addresses, clusters, ToRs, RTTs, error codes) as
+// zigzag-delta varints with the first value absolute, payload
+// timestamps and window offsets as zigzag varints relative to the
+// record header, float64 and uint64 fields as packed big-endian arrays,
+// and strings as references into a per-frame string table. Probe
+// columns that hold one value for a whole section (a prober's own
+// address and cluster) shrink to one byte per record, leaving flate
+// fewer bytes to compress and the receiver fewer to inflate. The decoder
 // materializes a whole section into one arena slice, so decoding a
 // frame costs O(sections) allocations instead of O(records).
 //
@@ -65,8 +72,17 @@ const (
 	CurrentWireVersion = WireV2
 )
 
-// tagRawSection opens a fallback section of per-record v1 encodings.
-const tagRawSection byte = 0x00
+// Section tags. A section is tagged with its records' wire type tag
+// (TagLogLine, TagAggRow, ...), except for the probe sections, whose
+// delta-varint layouts have tags of their own: the fixed-width probe
+// sections of earlier builds were tagged TagPingProbe and TagToRProbe,
+// and those tags now fail with ErrUnknownTag instead of being misparsed.
+const (
+	// tagRawSection opens a fallback section of per-record v1 encodings.
+	tagRawSection  byte = 0x00
+	tagPingSection byte = 0x21
+	tagToRSection  byte = 0x22
+)
 
 // maxCanonStrings bounds the decode-side canonicalization cache; when a
 // pathological stream floods it with unique strings it resets rather
@@ -81,7 +97,8 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 type columnarEncoder struct {
 	idx  map[string]uint32
 	tab  []string
-	live []int32 // scratch live-index vector for column-direct encoding
+	live []int32  // scratch identity index vector
+	u32  []uint32 // scratch probe columns gathered from rows
 }
 
 // ref returns the string-table reference for s, interning it on first
@@ -105,9 +122,9 @@ func (e *columnarEncoder) ref(s string) uint64 {
 func sectionTag(rec *telemetry.Record) byte {
 	switch rec.Data.(type) {
 	case *telemetry.PingProbe:
-		return TagPingProbe
+		return tagPingSection
 	case *telemetry.ToRProbe:
-		return TagToRProbe
+		return tagToRSection
 	case *telemetry.LogLine:
 		return TagLogLine
 	case *telemetry.JobStats:
@@ -174,6 +191,37 @@ func appendTimeCols(dst []byte, sec telemetry.Batch) []byte {
 	return dst
 }
 
+// appendU32Deltas appends the live entries of one uint32 column as
+// zigzag-delta uvarints, the first value absolute. Probe columns are
+// mostly constant or slowly varying within a section, so most entries
+// take one byte.
+func appendU32Deltas(dst []byte, col []uint32, live []int32) []byte {
+	prev := int64(0)
+	for _, i := range live {
+		v := int64(col[i])
+		dst = binary.AppendUvarint(dst, zigzag(v-prev))
+		prev = v
+	}
+	return dst
+}
+
+// u32Scratch returns the encoder's reusable uint32 scratch, resized to n.
+func (e *columnarEncoder) u32Scratch(n int) []uint32 {
+	if cap(e.u32) < n {
+		e.u32 = make([]uint32, n)
+	}
+	return e.u32[:n]
+}
+
+// appendU32Cols delta-packs the n-row columns laid end to end in cols.
+func (e *columnarEncoder) appendU32Cols(dst []byte, cols []uint32, n int) []byte {
+	live := e.identity(n)
+	for lo := 0; lo < len(cols); lo += n {
+		dst = appendU32Deltas(dst, cols[lo:lo+n], live)
+	}
+	return dst
+}
+
 func (e *columnarEncoder) encodeSection(dst []byte, tag byte, sec telemetry.Batch) ([]byte, error) {
 	dst = append(dst, tag)
 	dst = binary.AppendUvarint(dst, uint64(len(sec)))
@@ -189,43 +237,31 @@ func (e *columnarEncoder) encodeSection(dst []byte, tag byte, sec telemetry.Batc
 	}
 	dst = appendTimeCols(dst, sec)
 	switch tag {
-	case TagPingProbe:
+	case tagPingSection:
 		for i := range sec {
 			p := sec[i].Data.(*telemetry.PingProbe)
 			dst = binary.AppendUvarint(dst, zigzag(p.Timestamp-sec[i].Time))
 		}
+		n := len(sec)
+		cols := e.u32Scratch(6 * n)
 		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).SrcIP)
+			p := sec[i].Data.(*telemetry.PingProbe)
+			cols[i], cols[n+i], cols[2*n+i] = p.SrcIP, p.SrcCluster, p.DstIP
+			cols[3*n+i], cols[4*n+i], cols[5*n+i] = p.DstCluster, p.RTTMicros, p.ErrCode
 		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).SrcCluster)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).DstIP)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).DstCluster)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).RTTMicros)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.PingProbe).ErrCode)
-		}
-	case TagToRProbe:
+		dst = e.appendU32Cols(dst, cols, n)
+	case tagToRSection:
 		for i := range sec {
 			p := sec[i].Data.(*telemetry.ToRProbe)
 			dst = binary.AppendUvarint(dst, zigzag(p.Timestamp-sec[i].Time))
 		}
+		n := len(sec)
+		cols := e.u32Scratch(3 * n)
 		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.ToRProbe).SrcToR)
+			p := sec[i].Data.(*telemetry.ToRProbe)
+			cols[i], cols[n+i], cols[2*n+i] = p.SrcToR, p.DstToR, p.RTTMicros
 		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.ToRProbe).DstToR)
-		}
-		for i := range sec {
-			dst = binary.BigEndian.AppendUint32(dst, sec[i].Data.(*telemetry.ToRProbe).RTTMicros)
-		}
+		dst = e.appendU32Cols(dst, cols, n)
 	case TagLogLine:
 		for i := range sec {
 			p := sec[i].Data.(*telemetry.LogLine)
@@ -369,7 +405,11 @@ func (e *columnarEncoder) liveIdx(s *ColSec) []int32 {
 	if s.Sel != nil {
 		return s.Sel
 	}
-	n := len(s.Times)
+	return e.identity(len(s.Times))
+}
+
+// identity returns the reusable index vector 0..n-1.
+func (e *columnarEncoder) identity(n int) []int32 {
 	if cap(e.live) < n {
 		e.live = make([]int32, n)
 		for i := range e.live {
@@ -389,9 +429,9 @@ func (e *columnarEncoder) encodeColSec(dst []byte, s *ColSec) ([]byte, error) {
 	live := e.liveIdx(s)
 	switch {
 	case s.Ping != nil:
-		dst = append(dst, TagPingProbe)
+		dst = append(dst, tagPingSection)
 	case s.ToR != nil:
-		dst = append(dst, TagToRProbe)
+		dst = append(dst, tagToRSection)
 	case s.Log != nil:
 		dst = append(dst, TagLogLine)
 	case s.Job != nil:
@@ -418,37 +458,16 @@ func (e *columnarEncoder) encodeColSec(dst []byte, s *ColSec) ([]byte, error) {
 		for _, i := range live {
 			dst = binary.AppendUvarint(dst, zigzag(c.TS[i]-s.Times[i]))
 		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.SrcIP[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.SrcCluster[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.DstIP[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.DstCluster[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.RTT[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.Err[i])
+		for _, col := range [...][]uint32{c.SrcIP, c.SrcCluster, c.DstIP, c.DstCluster, c.RTT, c.Err} {
+			dst = appendU32Deltas(dst, col, live)
 		}
 	case s.ToR != nil:
 		c := s.ToR
 		for _, i := range live {
 			dst = binary.AppendUvarint(dst, zigzag(c.TS[i]-s.Times[i]))
 		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.SrcToR[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.DstToR[i])
-		}
-		for _, i := range live {
-			dst = binary.BigEndian.AppendUint32(dst, c.RTT[i])
+		for _, col := range [...][]uint32{c.SrcToR, c.DstToR, c.RTT} {
+			dst = appendU32Deltas(dst, col, live)
 		}
 	case s.Log != nil:
 		c := s.Log
@@ -518,6 +537,7 @@ type ColumnarDecoder struct {
 	times   []int64
 	windows []int64
 	aux     []int64
+	u32     []uint32 // probe columns of the section being materialized
 	// pool holds free column arenas when pooling is enabled (nil
 	// otherwise); lent tracks the arenas handed out since the last
 	// recycle so RecycleArenas can return them to the free lists.
@@ -726,10 +746,10 @@ func (d *ColumnarDecoder) readTable(buf []byte) error {
 // arenas from attacker-controlled input.
 func minRecordBytes(tag byte) int {
 	switch tag {
-	case TagPingProbe:
-		return 3 + 24
-	case TagToRProbe:
-		return 3 + 12
+	case tagPingSection:
+		return 3 + 6 // every column a 1-byte varint
+	case tagToRSection:
+		return 3 + 3
 	case TagLogLine:
 		return 4
 	case TagJobStats:
@@ -742,8 +762,10 @@ func minRecordBytes(tag byte) int {
 		return 2 + 8 + 1 + 1 + 16 + 1 + 1
 	case TagWatermark:
 		return 3
-	default:
+	case tagRawSection:
 		return 17 // raw v1 record: tag + 16-byte header
+	default:
+		return 0 // unknown section tag
 	}
 }
 
@@ -772,14 +794,50 @@ func (r *reader) zigzagDeltas(out []int64) {
 	buf, off := r.buf, r.off
 	prev := int64(0)
 	for i := range out {
-		v, next := nextUvarint(buf, off)
-		if next < 0 {
+		var v uint64
+		if off < len(buf) && buf[off] < 0x80 { // inlined 1-byte fast path
+			v = uint64(buf[off])
+			off++
+		} else if v, off = nextUvarint(buf, off); off < 0 {
 			r.err = ErrShortBuffer
 			return
 		}
-		off = next
 		prev += unzigzag(v)
 		out[i] = prev
+	}
+	r.off = off
+}
+
+// errU32Range reports a delta-packed uint32 column whose running value
+// leaves [0, MaxUint32].
+var errU32Range = errors.New("wire: delta-packed uint32 column out of range")
+
+// u32Deltas bulk-decodes n zigzag-delta varints (running sum, the first
+// value absolute) into a uint32 column. A running value outside
+// [0, MaxUint32] is corrupt input, rejected rather than wrapped. prev
+// stays in that range between steps, so an int64 overflow of the sum
+// lands negative and is rejected too.
+func (r *reader) u32Deltas(out []uint32) {
+	if r.err != nil {
+		return
+	}
+	buf, off := r.buf, r.off
+	prev := int64(0)
+	for i := range out {
+		var v uint64
+		if off < len(buf) && buf[off] < 0x80 { // inlined 1-byte fast path
+			v = uint64(buf[off])
+			off++
+		} else if v, off = nextUvarint(buf, off); off < 0 {
+			r.err = ErrShortBuffer
+			return
+		}
+		prev += unzigzag(v)
+		if uint64(prev) > math.MaxUint32 {
+			r.err = errU32Range
+			return
+		}
+		out[i] = uint32(prev)
 	}
 	r.off = off
 }
@@ -843,6 +901,19 @@ func grow(s []int64, n int) []int64 {
 	return s[:n]
 }
 
+// u32Cols decodes k delta-packed uint32 columns of n rows each into the
+// decoder's reusable scratch, laid end to end.
+func (d *ColumnarDecoder) u32Cols(r *reader, k, n int) []uint32 {
+	if cap(d.u32) < k*n {
+		d.u32 = make([]uint32, k*n)
+	}
+	cols := d.u32[:k*n]
+	for lo := 0; lo < len(cols); lo += n {
+		r.u32Deltas(cols[lo : lo+n])
+	}
+	return cols
+}
+
 // timeCols reads the shared header columns into the decoder's reusable
 // times/windows scratch.
 func (d *ColumnarDecoder) timeCols(r *reader, n int) {
@@ -861,7 +932,11 @@ func (d *ColumnarDecoder) sectionHeader(r *reader) (tag byte, n int, err error) 
 	if r.err != nil {
 		return 0, 0, r.err
 	}
-	if cnt > uint64(len(r.buf)-r.off)/uint64(minRecordBytes(tag)) {
+	minBytes := minRecordBytes(tag)
+	if minBytes == 0 {
+		return 0, 0, fmt.Errorf("%w: columnar section 0x%02x", ErrUnknownTag, tag)
+	}
+	if cnt > uint64(len(r.buf)-r.off)/uint64(minBytes) {
 		return 0, 0, fmt.Errorf("wire: section 0x%02x count %d exceeds remaining %d bytes", tag, cnt, len(r.buf)-r.off)
 	}
 	return tag, int(cnt), nil
@@ -896,44 +971,35 @@ func (d *ColumnarDecoder) decodeSectionBody(r *reader, tag byte, n int, out *tel
 	times, windows := d.times, d.windows
 	*out = slices.Grow(*out, n)
 	switch tag {
-	case TagPingProbe:
+	case tagPingSection:
 		arena := make([]telemetry.PingProbe, n)
 		d.aux = grow(d.aux, n)
 		r.zigzags(d.aux)
-		srcIP := r.take(4 * n)
-		srcCl := r.take(4 * n)
-		dstIP := r.take(4 * n)
-		dstCl := r.take(4 * n)
-		rtt := r.take(4 * n)
-		errc := r.take(4 * n)
+		cols := d.u32Cols(r, 6, n)
 		if r.err != nil {
 			return r.err
 		}
+		srcIP, srcCl, dstIP := cols[:n], cols[n:2*n], cols[2*n:3*n]
+		dstCl, rtt, errc := cols[3*n:4*n], cols[4*n:5*n], cols[5*n:]
 		// One pass: the arena line is written exactly once while the six
 		// input columns stream sequentially.
 		recs := (*out)[len(*out) : len(*out)+n]
 		for i := range arena {
 			p := &arena[i]
 			p.Timestamp = times[i] + d.aux[i]
-			p.SrcIP = binary.BigEndian.Uint32(srcIP[4*i:])
-			p.SrcCluster = binary.BigEndian.Uint32(srcCl[4*i:])
-			p.DstIP = binary.BigEndian.Uint32(dstIP[4*i:])
-			p.DstCluster = binary.BigEndian.Uint32(dstCl[4*i:])
-			p.RTTMicros = binary.BigEndian.Uint32(rtt[4*i:])
-			p.ErrCode = binary.BigEndian.Uint32(errc[4*i:])
+			p.SrcIP, p.SrcCluster, p.DstIP = srcIP[i], srcCl[i], dstIP[i]
+			p.DstCluster, p.RTTMicros, p.ErrCode = dstCl[i], rtt[i], errc[i]
 			recs[i] = telemetry.Record{
 				Time: times[i], Window: windows[i],
 				WireSize: telemetry.PingProbeWireSize, Data: p,
 			}
 		}
 		*out = (*out)[:len(*out)+n]
-	case TagToRProbe:
+	case tagToRSection:
 		arena := make([]telemetry.ToRProbe, n)
 		d.aux = grow(d.aux, n)
 		r.zigzags(d.aux)
-		srcToR := r.take(4 * n)
-		dstToR := r.take(4 * n)
-		rtt := r.take(4 * n)
+		cols := d.u32Cols(r, 3, n)
 		if r.err != nil {
 			return r.err
 		}
@@ -941,9 +1007,7 @@ func (d *ColumnarDecoder) decodeSectionBody(r *reader, tag byte, n int, out *tel
 		for i := range arena {
 			p := &arena[i]
 			p.Timestamp = times[i] + d.aux[i]
-			p.SrcToR = binary.BigEndian.Uint32(srcToR[4*i:])
-			p.DstToR = binary.BigEndian.Uint32(dstToR[4*i:])
-			p.RTTMicros = binary.BigEndian.Uint32(rtt[4*i:])
+			p.SrcToR, p.DstToR, p.RTTMicros = cols[i], cols[n+i], cols[2*n+i]
 			recs[i] = telemetry.Record{
 				Time: times[i], Window: windows[i],
 				WireSize: telemetry.ToRProbeWireSize, Data: p,

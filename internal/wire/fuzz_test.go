@@ -287,6 +287,9 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 		seed(telemetry.Batch{rec})
 	}
 	seed(telemetry.Batch(seedRecords()))
+	for _, b := range extremeProbeBatches() {
+		seed(b)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 16, 0, 0, 0, 1, 0, 0, 0, 3, 0xFF, 0xFF, 0xFF, 0xFD, 4, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -455,6 +458,9 @@ func FuzzDecodeColumnarVsRows(f *testing.F) {
 		seed(telemetry.Batch{rec})
 	}
 	seed(telemetry.Batch(seedRecords()))
+	for _, b := range extremeProbeBatches() {
+		seed(b)
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rows telemetry.Batch
