@@ -19,6 +19,7 @@ import (
 	"jarvis/internal/plan"
 	"jarvis/internal/runtime"
 	"jarvis/internal/sim"
+	"jarvis/internal/wire"
 	"jarvis/internal/workload"
 )
 
@@ -335,6 +336,43 @@ func BenchmarkAgentEpochColumnar(b *testing.B) {
 	}
 }
 
+// BenchmarkAgentEpochSpansColumnar is BenchmarkAgentEpochColumnar for
+// the span query: one SpanGen second through a TraceSpanAgg agent at
+// budget 0.6, dominated by the JobStats aggregation kernel.
+func BenchmarkAgentEpochSpansColumnar(b *testing.B) {
+	pipe, cb, err := benchcase.SpanEpochColumnar()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(cb.TotalBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pipe.RunEpochColumnar(cb)
+	}
+}
+
+// BenchmarkAgentEpochLogsColumnar is the LogAnalytics agent epoch: one
+// fresh second of log lines per epoch (generated with the timer
+// stopped), parsed and counted on the agent by the JobStats kernel.
+func BenchmarkAgentEpochLogsColumnar(b *testing.B) {
+	pipe, gen, err := benchcase.LogEpochColumnar()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cb wire.ColumnarBatch
+	benchcase.NextLogEpoch(gen, &cb)
+	b.SetBytes(cb.TotalBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		benchcase.NextLogEpoch(gen, &cb)
+		b.StartTimer()
+		pipe.RunEpochColumnar(&cb)
+	}
+}
+
 // BenchmarkShipEncodeCompressed measures the agent's ship stage (frame
 // encode plus flate) and BenchmarkRecvDecodeCompressed the SP's receive
 // stage (inflate plus SoA decode) on one drain-heavy columnar epoch; the
@@ -364,6 +402,25 @@ func BenchmarkSPIngest(b *testing.B) {
 
 func BenchmarkSPIngestColumnar(b *testing.B) {
 	engine, batch, cb, err := benchcase.SPIngest()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(batch.TotalBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := engine.IngestColumnar(0, cb); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSPIngestSpansColumnar drives one second of SpanGen drain,
+// decoded into a wire-v2 SoA batch, through the TraceSpanAgg SP engine:
+// the SP side of the JobStats kernel BenchmarkAgentEpochSpansColumnar
+// times on the agent.
+func BenchmarkSPIngestSpansColumnar(b *testing.B) {
+	engine, batch, cb, err := benchcase.SpanIngest()
 	if err != nil {
 		b.Fatal(err)
 	}

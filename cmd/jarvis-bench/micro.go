@@ -71,6 +71,36 @@ func runMicro(outPath string) error {
 	})
 	records = append(records, record("BenchmarkAgentEpochColumnar", cbCol.TotalBytes(), rc))
 
+	pipeSpan, cbSpan, err := benchcase.SpanEpochColumnar()
+	if err != nil {
+		return err
+	}
+	rc = testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pipeSpan.RunEpochColumnar(cbSpan)
+		}
+	})
+	records = append(records, record("BenchmarkAgentEpochSpansColumnar", cbSpan.TotalBytes(), rc))
+
+	pipeLog, genLog, err := benchcase.LogEpochColumnar()
+	if err != nil {
+		return err
+	}
+	var cbLog wire.ColumnarBatch
+	benchcase.NextLogEpoch(genLog, &cbLog)
+	logBytes := cbLog.TotalBytes()
+	rc = testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			benchcase.NextLogEpoch(genLog, &cbLog)
+			b.StartTimer()
+			pipeLog.RunEpochColumnar(&cbLog)
+		}
+	})
+	records = append(records, record("BenchmarkAgentEpochLogsColumnar", logBytes, rc))
+
 	bb, batch, err := benchcase.EndToEnd()
 	if err != nil {
 		return err

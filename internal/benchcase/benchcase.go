@@ -247,6 +247,54 @@ func PipelineEpochColumnar() (*stream.Pipeline, *wire.ColumnarBatch, error) {
 	return pipe, &cb, nil
 }
 
+// SpanEpochColumnar builds the TraceSpanAgg agent-epoch benchmark: the
+// span query at budget 0.6 with every load factor at 1 (where the
+// adaptive runtime settles at this budget and rate: all spans aggregate
+// locally), fed one second of SpanGen data as generated column sections.
+// It times the JobStats aggregation kernel on the agent side.
+func SpanEpochColumnar() (*stream.Pipeline, *wire.ColumnarBatch, error) {
+	pipe, err := stream.NewPipeline(plan.TraceSpanAgg(), stream.DefaultOptions(0.6, 0))
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := pipe.SetLoadFactors([]float64{1, 1, 1}); err != nil {
+		return nil, nil, err
+	}
+	gen := workload.NewSpanGen(workload.DefaultSpanConfig(3))
+	var cb wire.ColumnarBatch
+	gen.NextWindowCols(1_000_000, &cb)
+	return pipe, &cb, nil
+}
+
+// LogEpochColumnar builds the LogAnalytics agent-epoch benchmark: the
+// log query at budget 1.0 with every load factor at 1, so every line is
+// normalized, parsed and counted on the agent, plus the generator whose
+// next second of lines (NextLogEpoch) each epoch consumes. Unlike the
+// probe and span epochs it must not replay one batch: the JobStats rows'
+// strings are cut from each line by the parse kernel, and a replayed
+// batch would hand the aggregation the same string addresses every
+// epoch, which fresh lines never do.
+func LogEpochColumnar() (*stream.Pipeline, *workload.LogGen, error) {
+	pipe, err := stream.NewPipeline(plan.LogAnalytics(), stream.DefaultOptions(1.0, 0))
+	if err != nil {
+		return nil, nil, err
+	}
+	ones := make([]float64, len(pipe.Query().Ops))
+	for i := range ones {
+		ones[i] = 1
+	}
+	if err := pipe.SetLoadFactors(ones); err != nil {
+		return nil, nil, err
+	}
+	return pipe, workload.NewLogGen(workload.DefaultLogConfig(1)), nil
+}
+
+// NextLogEpoch refills cb with the generator's next second of lines.
+func NextLogEpoch(gen *workload.LogGen, cb *wire.ColumnarBatch) {
+	cb.Secs = cb.Secs[:0]
+	gen.NextWindowCols(1_000_000, cb)
+}
+
 // SpanIngest builds the TraceSpanAgg ingest benchmark pair: a span
 // engine plus one second of SpanGen drain as decoded rows and as the
 // identical records decoded into a wire-v2 SoA batch — the span-query

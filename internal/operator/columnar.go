@@ -2,6 +2,7 @@ package operator
 
 import (
 	"math"
+	"unsafe"
 
 	"jarvis/internal/telemetry"
 	"jarvis/internal/wire"
@@ -75,8 +76,15 @@ const (
 	// AggKernelJobStatsCount keys JobStats sections on
 	// (tenant, statName, bucket) and counts — JobStatsKey/JobStatsOne.
 	// The string form "tenant|statName|bucket" is assembled once per
-	// group (when the group is first seen), not once per row: lookups go
-	// through a per-window cache keyed on the interned column strings.
+	// group (when the group is first seen), not once per row. Rows find
+	// their cell through a per-window direct-mapped table indexed by the
+	// addresses of the Tenant and StatName strings: a hit needs equal
+	// pointers, lengths and bucket, which implies equal content, so no
+	// string is hashed. Hits need rows that share strings: SpanGen and
+	// the SP decoder reuse one string per distinct value, LogAnalytics'
+	// parse kernel one per tenant in a section and constant stat names.
+	// A miss (rows carrying fresh strings always miss) falls back to a
+	// content-keyed map, so results never depend on interning.
 	AggKernelJobStatsCount
 	// AggKernelJobStatsDur keys JobStats sections like
 	// AggKernelJobStatsCount but aggregates the Stat value instead of
@@ -402,9 +410,9 @@ func (g *GroupAgg) ProcessColumnar(cb *wire.ColumnarBatch) {
 		case sec.ToR != nil && g.kernel == AggKernelToRPairRTT:
 			g.aggToRPairRTT(sec)
 		case sec.Job != nil && g.kernel == AggKernelJobStatsCount:
-			g.aggJobStatsCount(sec)
+			g.aggJobStats(sec, false)
 		case sec.Job != nil && g.kernel == AggKernelJobStatsDur:
-			g.aggJobStatsDur(sec)
+			g.aggJobStats(sec, true)
 		default:
 			g.colScratch = g.colScratch[:0]
 			sec.AppendRows(&g.colScratch)
@@ -429,26 +437,26 @@ func (g *GroupAgg) mergeAggCols(sec *wire.ColSec) {
 	})
 }
 
-// observeNum folds one numeric-keyed observation, resolving the window
-// state per run of equal window ids like the row batch path.
-type numAggState struct {
+// aggRun is a SoA aggregation kernel's current window: the kernels
+// resolve the window state once per run of equal window ids, like the
+// row batch path.
+type aggRun struct {
 	win     *aggWindow
 	winID   int64
 	haveWin bool
 }
 
-func (g *GroupAgg) observeNumKeyed(st *numAggState, window int64, key uint64, val float64) {
+// observeNumKeyed folds one numeric-keyed observation.
+func (g *GroupAgg) observeNumKeyed(st *aggRun, window int64, key uint64, val float64) {
 	if !st.haveWin || window != st.winID {
 		st.win = g.window(window)
 		st.win.gen = g.gen
 		st.winID, st.haveWin = window, true
-		if st.win.wantCacheGrow() {
-			st.win.growCache()
-		}
+		st.win.cache.fit(len(st.win.num), &g.spareCache)
 	}
 	// Direct-mapped cell cache (Fibonacci hash). See aggWindow.cache for
 	// why hits can't be stale; misses fall through to the window map.
-	slot := &st.win.cache[(key*0x9e3779b97f4a7c15)>>st.win.cacheShift]
+	slot := &st.win.cache.slots[(key*0x9e3779b97f4a7c15)>>st.win.cache.shift]
 	cell := slot.cell
 	if cell == nil || slot.key != key {
 		cell = st.win.num[key]
@@ -469,7 +477,7 @@ func (g *GroupAgg) observeNumKeyed(st *numAggState, window int64, key uint64, va
 // Record, a GroupKey hash of the full struct, or an interface call.
 func (g *GroupAgg) aggPingPairRTT(sec *wire.ColSec) {
 	c := sec.Ping
-	var st numAggState
+	var st aggRun
 	if sec.Sel != nil {
 		for _, i := range sec.Sel {
 			key := uint64(c.SrcIP[i])<<32 | uint64(c.DstIP[i])
@@ -486,7 +494,7 @@ func (g *GroupAgg) aggPingPairRTT(sec *wire.ColSec) {
 // aggToRPairRTT is aggPingPairRTT for ToR sections.
 func (g *GroupAgg) aggToRPairRTT(sec *wire.ColSec) {
 	c := sec.ToR
-	var st numAggState
+	var st aggRun
 	if sec.Sel != nil {
 		for _, i := range sec.Sel {
 			key := uint64(c.SrcToR[i])<<32 | uint64(c.DstToR[i])
@@ -500,69 +508,94 @@ func (g *GroupAgg) aggToRPairRTT(sec *wire.ColSec) {
 	}
 }
 
-// jobRefKey is the columnar lookup key for JobStats groups: the interned
-// column strings plus the bucket, hashed without assembling the
-// "tenant|statName|bucket" string the canonical key uses.
+// jobRefKey is the content-keyed fallback lookup key for JobStats
+// groups: the column strings plus the bucket, hashed without assembling
+// the "tenant|statName|bucket" string the canonical key uses.
 type jobRefKey struct {
 	tenant, stat string
 	bucket       int64
 }
 
-// aggJobStatsCount aggregates a JobStats section keyed on interned
-// string refs, counting one per row — JobStatsKey/JobStatsOne.
-func (g *GroupAgg) aggJobStatsCount(sec *wire.ColSec) {
-	g.aggJobStats(sec, false)
-}
-
-// aggJobStatsDur is aggJobStatsCount folding the Stat column instead of
-// counting — JobStatsKey/JobStatsVal.
-func (g *GroupAgg) aggJobStatsDur(sec *wire.ColSec) {
-	g.aggJobStats(sec, true)
-}
-
-// aggJobStats aggregates a JobStats section keyed on interned string
-// refs: the canonical string key is assembled only when a group is first
-// seen in a window; afterwards rows reach their cell through the
-// per-window byRef cache. useStat selects the folded value: the Stat
-// column (durations) or a constant 1 (counts).
+// aggJobStats aggregates a JobStats section straight from its columns.
+// useStat selects the folded value: the Stat column (durations,
+// JobStatsVal) or a constant 1 (counts, JobStatsOne).
 func (g *GroupAgg) aggJobStats(sec *wire.ColSec, useStat bool) {
 	c := sec.Job
-	var win *aggWindow
-	winID, haveWin := int64(0), false
-	sec.Live(func(i int) {
-		w := sec.Windows[i]
-		if !haveWin || w != winID {
-			win = g.window(w)
-			win.gen = g.gen
-			winID, haveWin = w, true
+	var st aggRun
+	val := 1.0
+	if sec.Sel != nil {
+		for _, i := range sec.Sel {
+			if useStat {
+				val = c.Stat[i]
+			}
+			g.observeJob(&st, sec.Windows[i], c.Tenant[i], c.StatName[i], c.Bucket[i], val)
 		}
-		val := 1.0
+		return
+	}
+	for i := range sec.Times {
 		if useStat {
 			val = c.Stat[i]
 		}
-		ref := jobRefKey{tenant: c.Tenant[i], stat: c.StatName[i], bucket: c.Bucket[i]}
-		cell := win.byRef[ref]
-		if cell == nil {
-			// First sighting through the columnar path: assemble the
-			// canonical key once, find or create the row-path cell, and
-			// cache it under the interned refs.
-			key := telemetry.StrKey(ref.tenant + "|" + ref.stat + "|" + itoa(int(ref.bucket)))
-			cell = win.lookup(key)
-			if cell == nil {
-				cell = &aggCell{row: telemetry.NewAggRow(key, w, val), gen: g.gen}
-				win.store(key, cell)
-				if win.byRef == nil {
-					win.byRef = make(map[jobRefKey]*aggCell)
-				}
-				win.byRef[ref] = cell
-				return
-			}
-			if win.byRef == nil {
-				win.byRef = make(map[jobRefKey]*aggCell)
-			}
-			win.byRef[ref] = cell
+		g.observeJob(&st, sec.Windows[i], c.Tenant[i], c.StatName[i], c.Bucket[i], val)
+	}
+}
+
+// observeJob folds one JobStats row into its group. The row reaches its
+// cell through the window's identity front (jobSlot): one multiply over
+// the two string addresses and the bucket, and pointer compares — no
+// string is hashed. A miss resolves the cell by content (jobCell) and
+// refills the slot.
+func (g *GroupAgg) observeJob(st *aggRun, window int64, tenant, stat string, bucket int64, val float64) {
+	if !st.haveWin || window != st.winID {
+		st.win = g.window(window)
+		st.win.gen = g.gen
+		st.winID, st.haveWin = window, true
+		st.win.jobs.fit(len(st.win.byRef), &g.spareJobs)
+	}
+	h := strAddr(tenant)*0x9e3779b97f4a7c15 ^ strAddr(stat) ^ uint64(bucket)*0xbf58476d1ce4e5b9
+	slot := &st.win.jobs.slots[(h*0x94d049bb133111eb)>>st.win.jobs.shift]
+	cell := slot.cell
+	if cell == nil || slot.bucket != bucket || !sameString(slot.tenant, tenant) || !sameString(slot.stat, stat) {
+		var fresh bool
+		cell, fresh = g.jobCell(st.win, window, jobRefKey{tenant: tenant, stat: stat, bucket: bucket}, val)
+		*slot = jobSlot{tenant: tenant, stat: stat, bucket: bucket, cell: cell}
+		if fresh {
+			return
 		}
-		cell.row.Observe(val)
-		cell.gen = g.gen
-	})
+	}
+	cell.row.Observe(val)
+	cell.gen = g.gen
+}
+
+// jobCell resolves a JobStats row that missed the identity front: by
+// content through byRef, then through the canonical string key, which is
+// assembled only when a group is first seen through the columnar path.
+// A new group is created already holding val (fresh = true); the caller
+// observes val into an existing one.
+func (g *GroupAgg) jobCell(win *aggWindow, window int64, ref jobRefKey, val float64) (cell *aggCell, fresh bool) {
+	if cell = win.byRef[ref]; cell != nil {
+		return cell, false
+	}
+	key := telemetry.StrKey(ref.tenant + "|" + ref.stat + "|" + itoa(int(ref.bucket)))
+	cell = win.lookup(key)
+	if cell == nil {
+		cell = &aggCell{row: telemetry.NewAggRow(key, window, val), gen: g.gen}
+		win.store(key, cell)
+		fresh = true
+	}
+	if win.byRef == nil {
+		win.byRef = make(map[jobRefKey]*aggCell)
+	}
+	win.byRef[ref] = cell
+	return cell, fresh
+}
+
+// strAddr returns the address of a string's bytes, for hashing only.
+func strAddr(s string) uint64 { return uint64(uintptr(unsafe.Pointer(unsafe.StringData(s)))) }
+
+// sameString reports whether a and b are the same bytes in memory: equal
+// data pointers and lengths, which for live strings implies equal
+// content.
+func sameString(a, b string) bool {
+	return len(a) == len(b) && unsafe.StringData(a) == unsafe.StringData(b)
 }

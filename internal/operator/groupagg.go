@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -44,6 +45,10 @@ type GroupAgg struct {
 	// colScratch backs per-section row-materialization fallbacks.
 	kernel     AggKernel
 	colScratch telemetry.Batch
+	// spareCache and spareJobs keep the direct-mapped tables of the
+	// last closed window for the next one (slotCache.release/fit).
+	spareCache []aggCellSlot
+	spareJobs  []jobSlot
 }
 
 // maxClosedTombstones bounds the closed-window list an operator keeps
@@ -73,10 +78,11 @@ type aggWindow struct {
 	num map[uint64]*aggCell             // keys with Str == ""
 	str map[telemetry.GroupKey]*aggCell // keys carrying a string
 	gen uint64
-	// byRef caches cells under their interned columnar refs (tenant,
-	// statName, bucket) so the SoA JobStats kernel assembles the
-	// canonical string key once per group, not once per row. Entries
-	// alias cells of str; the cache dies with the window.
+	// byRef caches cells under their columnar refs (tenant, statName,
+	// bucket), compared by content, so the SoA JobStats kernel assembles
+	// the canonical string key once per group, not once per row. Entries
+	// alias cells of str; the cache dies with the window. It sits behind
+	// jobs, which answers rows that share strings without hashing one.
 	byRef map[jobRefKey]*aggCell
 	// cache is a direct-mapped front for num, indexed by a Fibonacci
 	// hash of the key. The SoA aggregation kernels re-observe the same
@@ -86,8 +92,12 @@ type aggWindow struct {
 	// stale: a window's key→cell binding is append-only (every store
 	// site is guarded by a lookup miss), so a cached pointer stays the
 	// canonical cell until the window itself is deleted.
-	cache      []aggCellSlot
-	cacheShift uint8
+	cache slotCache[aggCellSlot]
+	// jobs is the identity front of byRef: a direct-mapped table indexed
+	// by the addresses of a row's Tenant and StatName strings and its
+	// bucket (see jobSlot). It never goes stale for the same reason as
+	// cache.
+	jobs slotCache[jobSlot]
 }
 
 // aggCellSlot is one direct-mapped cache entry; cell == nil marks empty.
@@ -96,38 +106,77 @@ type aggCellSlot struct {
 	cell *aggCell
 }
 
-// Cache sizing: start at 4096 slots (64 KiB) and quadruple while the
-// window holds more numeric groups than half the slot count, capped at
-// 65536 slots (1 MiB) — at the paper's Pingmesh cardinality (~20k live
-// pairs per window) that settles at a ~0.3 load factor. Growth is
-// checked once per run of equal window ids, not per record, and resets
-// the slots (they refill from map hits within one section).
+// jobSlot is one entry of a window's JobStats identity front. A row hits
+// only when its Tenant and StatName have the slot's data pointers and
+// lengths and its bucket matches. Go strings are immutable, and the slot
+// holds both strings, so their memory cannot be freed and reused while
+// the slot points at it: equal pointer and length therefore means equal
+// content, and a hit is always the row's own cell. A row whose strings
+// are content-equal but live elsewhere (not interned, or re-allocated
+// after the decoder's canonicalization cache was cleared) misses and
+// falls through to the content-keyed byRef map, so results never depend
+// on interning. Addresses are read, never dereferenced; were the GC ever
+// to move a string, that row would only miss. A slot keeps its strings'
+// memory alive until the window closes, so a string cut from a larger
+// one (a log line) should be a copy.
+type jobSlot struct {
+	tenant, stat string
+	bucket       int64
+	cell         *aggCell // nil marks empty
+}
+
+// slotCache is a direct-mapped table of slots S indexed by the top
+// bits of a 64-bit hash (h >> shift).
+type slotCache[S any] struct {
+	slots []S
+	shift uint8
+}
+
+// Cache sizing: start at 4096 slots and quadruple while the window
+// holds more groups than half the slot count, capped at 65536 slots —
+// at the paper's Pingmesh cardinality (~20k live pairs per window) that
+// settles at a ~0.3 load factor. Growth is checked once per run of
+// equal window ids, not per record; the slots refill from map hits
+// within one section.
 const (
 	aggCacheMinSlots = 1 << 12
 	aggCacheMaxSlots = 1 << 16
 )
 
-// wantCacheGrow reports whether the window's cell cache is absent or
-// undersized for its current group count.
-func (w *aggWindow) wantCacheGrow() bool {
-	return w.cache == nil ||
-		(len(w.num) > len(w.cache)>>1 && len(w.cache) < aggCacheMaxSlots)
-}
-
-func (w *aggWindow) growCache() {
-	size := aggCacheMinSlots
-	for size <= 2*len(w.num) && size < aggCacheMaxSlots {
-		size <<= 2
-	}
-	if len(w.cache) >= size {
+// fit sizes the table for groups live groups under the policy above.
+// The slots come from *spare (a table released by a closed window) when
+// it is large enough, so a window that replaces a closed one allocates
+// nothing.
+func (c *slotCache[S]) fit(groups int, spare *[]S) {
+	if c.slots != nil && (groups <= len(c.slots)>>1 || len(c.slots) >= aggCacheMaxSlots) {
 		return
 	}
-	w.cache = make([]aggCellSlot, size)
-	shift := uint8(64)
-	for s := size; s > 1; s >>= 1 {
-		shift--
+	size := aggCacheMinSlots
+	for size <= 2*groups && size < aggCacheMaxSlots {
+		size <<= 2
 	}
-	w.cacheShift = shift
+	switch {
+	case len(c.slots) >= size:
+		return
+	case cap(*spare) >= size:
+		c.slots, *spare = (*spare)[:size], nil // cleared by release
+	default:
+		c.slots = make([]S, size)
+	}
+	c.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+}
+
+// release empties the table and keeps it in *spare for the next window
+// when it is larger than the table already there.
+func (c *slotCache[S]) release(spare *[]S) {
+	if c.slots == nil {
+		return
+	}
+	clear(c.slots)
+	if cap(c.slots) > cap(*spare) {
+		*spare = c.slots[:0]
+	}
+	c.slots = nil
 }
 
 // aggCell is one group's row plus its newest touch stamp.
@@ -183,6 +232,17 @@ func (g *GroupAgg) window(w int64) *aggWindow {
 		g.state[w] = win
 	}
 	return win
+}
+
+// dropWindow deletes window w's state after it was emitted, keeping its
+// cache tables for the next window and noting the delta tombstone.
+func (g *GroupAgg) dropWindow(w int64) {
+	if win := g.state[w]; win != nil {
+		win.cache.release(&g.spareCache)
+		win.jobs.release(&g.spareJobs)
+	}
+	delete(g.state, w)
+	g.noteClosed(w)
 }
 
 // Name implements Operator.
@@ -340,8 +400,7 @@ func (g *GroupAgg) Flush(watermark int64, emit Emit) {
 			continue
 		}
 		g.emitWindow(w, end, emit)
-		delete(g.state, w)
-		g.noteClosed(w)
+		g.dropWindow(w)
 	}
 }
 
@@ -353,8 +412,7 @@ func (g *GroupAgg) Drain(emit Emit) {
 	for _, w := range g.OpenWindows() {
 		end := (w + 1) * g.windowDur
 		g.emitWindow(w, end, emit)
-		delete(g.state, w)
-		g.noteClosed(w)
+		g.dropWindow(w)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"jarvis/internal/operator"
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wire"
 	"jarvis/internal/workload"
 )
 
@@ -223,5 +225,40 @@ func TestPrefixHelpers(t *testing.T) {
 	// n beyond len clamps.
 	if PrefixCostPct(q, 99) != TotalCostPct(q) {
 		t.Fatal("prefix beyond length should equal total")
+	}
+}
+
+// TestParseKernelSharesStrings checks what GroupAgg's JobStats kernel
+// relies on to find LogAnalytics groups by string identity: parsed rows
+// share one tenant string per distinct tenant in a section and use the
+// stat-name constants, instead of carrying substrings of their lines.
+func TestParseKernelSharesStrings(t *testing.T) {
+	gen := workload.NewLogGen(workload.DefaultLogConfig(4))
+	var cb wire.ColumnarBatch
+	gen.NextWindowCols(200_000, &cb)
+	var norm, parsed []wire.ColSec
+	if !normalizeKernel(&cb.Secs[0], &norm) || !parseKernel(&norm[0], &parsed) {
+		t.Fatal("LogAnalytics kernels declined a log section")
+	}
+	job := parsed[0].Job
+	if len(job.Tenant) < 1000 {
+		t.Fatalf("parsed only %d rows", len(job.Tenant))
+	}
+	tenants := map[string]*byte{}
+	for i, tenant := range job.Tenant {
+		p := unsafe.StringData(tenant)
+		if q, ok := tenants[tenant]; ok && q != p {
+			t.Fatalf("row %d: tenant %q at a second address", i, tenant)
+		}
+		tenants[tenant] = p
+		switch name := job.StatName[i]; unsafe.StringData(name) {
+		case unsafe.StringData(telemetry.StatJobRunningTime), unsafe.StringData(telemetry.StatCPUUtil),
+			unsafe.StringData(telemetry.StatMemoryUtil):
+		default:
+			t.Fatalf("row %d: stat name %q is not a telemetry constant", i, name)
+		}
+	}
+	if len(tenants) < 2 {
+		t.Fatalf("only %d distinct tenants", len(tenants))
 	}
 }

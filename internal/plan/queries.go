@@ -294,13 +294,21 @@ func patternsColPred(sec *wire.ColSec) (func(i int) bool, bool) {
 	return func(i int) bool { return ContainsAny(raw[i], workload.Patterns) }, true
 }
 
+// maxSectionTenants bounds the tenant strings parseKernel canonicalizes
+// per section; tenants past it keep their per-line strings.
+const maxSectionTenants = 1 << 12
+
 // parseKernel flat-maps a log section into a JobStats section: one
 // output row per statistic on each parseable line, malformed lines
-// dropped — identical to the row path's parse.
+// dropped — identical to the row path's parse. Rows share one string
+// per distinct tenant in the section (a copy, so no row pins its line)
+// and one per statistic (ParseJobStats' constants), which lets
+// GroupAgg's JobStats kernel find their groups by string identity.
 func parseKernel(sec *wire.ColSec, out *[]wire.ColSec) bool {
 	if sec.Log == nil {
 		return false
 	}
+	tenants := make(map[string]string)
 	n := sec.Len()
 	ns := wire.ColSec{
 		Tag:     wire.TagJobStats,
@@ -318,14 +326,22 @@ func parseKernel(sec *wire.ColSec, out *[]wire.ColSec) bool {
 			line = line[:j]
 		}
 		stats, err := telemetry.ParseJobStats(c.TS[i], line)
-		if err != nil {
+		if err != nil || len(stats) == 0 {
 			return
+		}
+		tenant, ok := tenants[stats[0].Tenant]
+		if !ok {
+			tenant = stats[0].Tenant
+			if len(tenants) < maxSectionTenants {
+				tenant = strings.Clone(tenant)
+				tenants[tenant] = tenant
+			}
 		}
 		for k := range stats {
 			ns.Times = append(ns.Times, sec.Times[i])
 			ns.Windows = append(ns.Windows, sec.Windows[i])
 			ns.Job.TS = append(ns.Job.TS, stats[k].Timestamp)
-			ns.Job.Tenant = append(ns.Job.Tenant, stats[k].Tenant)
+			ns.Job.Tenant = append(ns.Job.Tenant, tenant)
 			ns.Job.StatName = append(ns.Job.StatName, stats[k].StatName)
 			ns.Job.Stat = append(ns.Job.Stat, stats[k].Stat)
 		}

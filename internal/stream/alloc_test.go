@@ -67,6 +67,33 @@ func TestWarmAgentPipelineAllocs(t *testing.T) {
 	}
 }
 
+func TestWarmAgentSpanPipelineAllocs(t *testing.T) {
+	p, err := NewPipeline(plan.TraceSpanAgg(), DefaultOptions(0.6, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetLoadFactors([]float64{1, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewSpanGen(workload.DefaultSpanConfig(3))
+	var cb wire.ColumnarBatch
+	gen.NextWindowCols(1_000_000, &cb)
+	for i := 0; i < 3; i++ {
+		res := p.RunEpochColumnar(&cb)
+		res.Recycle()
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		res := p.RunEpochColumnar(&cb)
+		res.Recycle()
+	})
+	// The JobStats kernel must reach warm groups without assembling a key
+	// string or allocating per row: the same per-epoch-header budget as
+	// the probe query, for ~48k spans.
+	if avg > 32 {
+		t.Fatalf("steady-state columnar span agent epoch allocates %.1f times (want ≤ 32)", avg)
+	}
+}
+
 func TestSteadyStateSPIngestAllocs(t *testing.T) {
 	e, err := NewSPEngine(plan.S2SProbe())
 	if err != nil {

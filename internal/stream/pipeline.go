@@ -232,15 +232,17 @@ type Pipeline struct {
 	// columnar arrival-wave machinery (RunEpochColumnar). colOps[i] is
 	// non-nil when ops[i] executes SoA waves; colA/colB ping-pong the wave
 	// section headers; colRows is the materialization buffer for the row
-	// fallback; colDrains/colResults hold the epoch's SoA outputs; the sel
+	// fallback; colDrains/colResults hold the epoch's SoA outputs and
+	// colDrainBytes the drains' volume, summed by the route pass; the sel
 	// free/lent lists recycle routing selection vectors across epochs.
-	colOps     []operator.ColumnarProcessor
-	colA, colB []wire.ColSec
-	colRows    telemetry.Batch
-	colDrains  []wire.ColumnarBatch
-	colResults wire.ColumnarBatch
-	selFree    [][]int32
-	selLent    [][]int32
+	colOps        []operator.ColumnarProcessor
+	colA, colB    []wire.ColSec
+	colRows       telemetry.Batch
+	colDrains     []wire.ColumnarBatch
+	colDrainBytes int64
+	colResults    wire.ColumnarBatch
+	selFree       [][]int32
+	selLent       [][]int32
 
 	// epochSeq counts completed epochs; prevStates remembers each proxy's
 	// state at the previous epoch boundary so finishEpoch emits a
@@ -383,7 +385,7 @@ func (p *Pipeline) RunEpoch(input telemetry.Batch) EpochResult {
 // previous epoch's budget overflow) always run on the row path first.
 //
 // Proxy decisions consume the same error-diffusion sequence as the row
-// path (RouteSize), so stats, drains, results and watermark are
+// path (Proxy.Decide), so stats, drains, results and watermark are
 // bit-identical to RunEpoch on the materialized batch whenever the
 // operators' columnar kernels are row-equivalent. Columnar epochs always
 // use the batch execution loop; Options.RecordAtATime only affects
@@ -412,6 +414,7 @@ func (p *Pipeline) RunEpochColumnar(cb *wire.ColumnarBatch) EpochResult {
 	for i := range p.colDrains {
 		p.colDrains[i].Secs = p.colDrains[i].Secs[:0]
 	}
+	p.colDrainBytes = 0
 	p.colResults.Secs = p.colResults.Secs[:0]
 
 	p.runCarryover()
@@ -448,9 +451,7 @@ func (p *Pipeline) RunEpochColumnar(cb *wire.ColumnarBatch) EpochResult {
 	res := p.finishEpoch()
 	res.ColDrains = p.colDrains
 	res.ColResults = p.colResults
-	for i := range p.colDrains {
-		res.DrainedBytes += p.colDrains[i].TotalBytes()
-	}
+	res.DrainedBytes += p.colDrainBytes
 	res.ResultBytes += p.colResults.TotalBytes()
 	if !start.IsZero() {
 		res.Timing.PipeMicros = obs.ObserveSince(obs.StagePipeline, start).Microseconds()
@@ -512,11 +513,11 @@ func (p *Pipeline) runColumnarWave(cb *wire.ColumnarBatch) {
 				for k := range sec.Rows {
 					rec := sec.Rows[k]
 					if fwdTotal >= maxFwd {
-						px.NoteForcedDrain(rec.WireSize)
+						px.NoteForcedDrain(1)
 						dr = append(dr, rec)
 						continue
 					}
-					if px.Route(rec) {
+					if px.Decide() {
 						fr = append(fr, rec)
 						fwdTotal++
 					} else {
@@ -524,6 +525,9 @@ func (p *Pipeline) runColumnarWave(cb *wire.ColumnarBatch) {
 					}
 				}
 				if len(dr) > 0 {
+					db := dr.TotalBytes()
+					px.NoteDrainedBytes(db)
+					p.colDrainBytes += db
 					p.colDrains[i].Secs = append(p.colDrains[i].Secs, wire.ColSec{Tag: sec.Tag, Rows: dr})
 				}
 				if len(fr) > 0 {
@@ -531,40 +535,46 @@ func (p *Pipeline) runColumnarWave(cb *wire.ColumnarBatch) {
 				}
 				continue
 			}
+			// Decide per live row until the forward bound is hit; every row
+			// after that force-drains. Row sizes are summed afterwards over
+			// the drained rows only.
 			fwdSel, drSel := p.takeSel(), p.takeSel()
+			forced := 0
 			if sec.Sel != nil {
-				for _, idx := range sec.Sel {
-					if fwdTotal >= maxFwd {
-						px.NoteForcedDrain(sec.RowBytes(int(idx)))
-						drSel = append(drSel, idx)
-						continue
-					}
-					if px.RouteSize(sec.RowBytes(int(idx))) {
-						fwdSel = append(fwdSel, idx)
+				k := 0
+				for ; k < len(sec.Sel) && fwdTotal < maxFwd; k++ {
+					if px.Decide() {
+						fwdSel = append(fwdSel, sec.Sel[k])
 						fwdTotal++
 					} else {
-						drSel = append(drSel, idx)
+						drSel = append(drSel, sec.Sel[k])
 					}
 				}
+				forced = len(sec.Sel) - k
+				drSel = append(drSel, sec.Sel[k:]...)
 			} else {
-				for idx := 0; idx < len(sec.Times); idx++ {
-					if fwdTotal >= maxFwd {
-						px.NoteForcedDrain(sec.RowBytes(idx))
-						drSel = append(drSel, int32(idx))
-						continue
-					}
-					if px.RouteSize(sec.RowBytes(idx)) {
+				idx := 0
+				for ; idx < len(sec.Times) && fwdTotal < maxFwd; idx++ {
+					if px.Decide() {
 						fwdSel = append(fwdSel, int32(idx))
 						fwdTotal++
 					} else {
 						drSel = append(drSel, int32(idx))
 					}
 				}
+				forced = len(sec.Times) - idx
+				for ; idx < len(sec.Times); idx++ {
+					drSel = append(drSel, int32(idx))
+				}
 			}
+			px.NoteForcedDrain(forced)
 			fwdSel, drSel = p.lendSel(fwdSel), p.lendSel(drSel)
 			if len(drSel) > 0 {
 				dsec := *sec
 				dsec.Sel = drSel
+				db := dsec.LiveBytes()
+				px.NoteDrainedBytes(db)
+				p.colDrainBytes += db
 				p.colDrains[i].Secs = append(p.colDrains[i].Secs, dsec)
 			}
 			if len(fwdSel) > 0 {
@@ -748,8 +758,7 @@ func (p *Pipeline) routeBatch(i int, in telemetry.Batch, fwd telemetry.Batch) te
 	maxFwd := p.bucket.FitCount(p.cm.Cost(i), len(in)) + room
 	for k := range in {
 		if len(fwd) >= maxFwd {
-			px.NoteForcedDrain(in[k].WireSize)
-			p.appendDrain(i, in[k])
+			p.forceDrain(i, in[k])
 			continue
 		}
 		if px.Route(in[k]) {
@@ -953,7 +962,8 @@ func (p *Pipeline) emitPast(i int, rec telemetry.Record) {
 // accounting consistent (counted as arrived and drained) through the
 // proxy's own API.
 func (p *Pipeline) forceDrain(i int, rec telemetry.Record) {
-	p.proxies[i].NoteForcedDrain(rec.WireSize)
+	p.proxies[i].NoteForcedDrain(1)
+	p.proxies[i].NoteDrainedBytes(int64(rec.WireSize))
 	p.appendDrain(i, rec)
 }
 

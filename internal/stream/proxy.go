@@ -87,25 +87,20 @@ func (px *Proxy) SetLoadFactor(p float64) {
 // false = drain to the stream processor. Deterministic: over n records
 // exactly ⌊np⌋ or ⌈np⌉ are forwarded.
 func (px *Proxy) Route(rec telemetry.Record) bool {
-	px.stats.In++
-	px.acc += px.p
-	if px.acc >= 1-1e-12 {
-		px.acc -= 1
-		px.stats.Forwarded++
+	if px.Decide() {
 		return true
 	}
-	px.stats.Drained++
-	px.stats.DrainedBytes += int64(rec.WireSize)
+	px.NoteDrainedBytes(int64(rec.WireSize))
 	return false
 }
 
-// RouteSize is Route for the columnar path: the decision and the
-// accounting depend only on the record's wire size, which SoA waves
-// supply straight from their columns without materializing the record.
-// The error-diffusion state advances exactly as Route's does, so a
-// routing sequence mixing Route and RouteSize calls is bit-identical to
-// the same sequence of materialized records through Route alone.
-func (px *Proxy) RouteSize(bytes int) bool {
+// Decide is Route without the byte accounting: it advances the
+// error-diffusion state one step and counts the record as forwarded or
+// drained. The columnar route pass takes its decisions here and sizes
+// only the rows that drain (NoteDrainedBytes), so a routing sequence
+// mixing Route and Decide is bit-identical to the same materialized
+// records through Route alone.
+func (px *Proxy) Decide() bool {
 	px.stats.In++
 	px.acc += px.p
 	if px.acc >= 1-1e-12 {
@@ -114,9 +109,12 @@ func (px *Proxy) RouteSize(bytes int) bool {
 		return true
 	}
 	px.stats.Drained++
-	px.stats.DrainedBytes += int64(bytes)
 	return false
 }
+
+// NoteDrainedBytes adds drained volume for records already counted as
+// drained (by Decide or NoteForcedDrain).
+func (px *Proxy) NoteDrainedBytes(bytes int64) { px.stats.DrainedBytes += bytes }
 
 // NoteProcessed records that the downstream operator consumed one
 // forwarded record within budget.
@@ -126,13 +124,13 @@ func (px *Proxy) NoteProcessed() { px.stats.Processed++ }
 // one amortized update (the batch path's counterpart of NoteProcessed).
 func (px *Proxy) NoteProcessedN(n int) { px.stats.Processed += n }
 
-// NoteForcedDrain accounts for a record the pipeline drained without
-// consulting Route — its stage queue was full — keeping the proxy's
+// NoteForcedDrain accounts for n records the pipeline drained without
+// consulting Route — their stage queue was full — keeping the proxy's
 // arrived/drained counters consistent without exposing the stats field.
-func (px *Proxy) NoteForcedDrain(bytes int) {
-	px.stats.In++
-	px.stats.Drained++
-	px.stats.DrainedBytes += int64(bytes)
+// Their bytes go through NoteDrainedBytes.
+func (px *Proxy) NoteForcedDrain(n int) {
+	px.stats.In += n
+	px.stats.Drained += n
 }
 
 // EndEpoch classifies the proxy given queue occupancy and the node's

@@ -31,6 +31,29 @@ type JobStats struct {
 	Bucket    int
 }
 
+// The statistic names a LogAnalytics line carries. ParseJobStats returns
+// these constants instead of substrings of the line, so every row shares
+// one string per statistic and holds no reference to its line.
+const (
+	StatJobRunningTime = "job running time"
+	StatCPUUtil        = "cpu util"
+	StatMemoryUtil     = "memory util"
+)
+
+// canonStatName returns the constant equal to name, or name itself when
+// it is none of the known statistics.
+func canonStatName(name string) string {
+	switch name {
+	case StatJobRunningTime:
+		return StatJobRunningTime
+	case StatCPUUtil:
+		return StatCPUUtil
+	case StatMemoryUtil:
+		return StatMemoryUtil
+	}
+	return name
+}
+
 // JobStatsWireSize approximates the serialized size of a parsed JobStats
 // record: tenant + stat name strings plus numeric fields and envelope.
 func (j *JobStats) JobStatsWireSize() int {
@@ -67,7 +90,7 @@ func ParseJobStats(ts int64, line string) ([]JobStats, error) {
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: bad stat %q: %w", f, err)
 		}
-		stats = append(stats, kv{key, x})
+		stats = append(stats, kv{canonStatName(key), x})
 	}
 	if tenant == "" {
 		return nil, fmt.Errorf("telemetry: line has no tenant: %q", line)

@@ -154,34 +154,38 @@ func (s *ColSec) rowBytes(i int) int64 {
 	}
 }
 
-// RowBytes returns the accounting wire size of one row — the WireSize a
-// materialized Record for it would carry. Callers pass live indices; the
-// selection vector itself is not consulted.
-func (s *ColSec) RowBytes(i int) int { return int(s.rowBytes(i)) }
+// LiveBytes returns the sum of the section's live rows' accounting wire
+// sizes — what its materialized records' WireSize fields would add up
+// to. Fixed-size payload sections (probes) sum in O(1); only
+// variable-size payloads walk rows.
+func (s *ColSec) LiveBytes() int64 {
+	switch {
+	case s.Rows != nil:
+		return s.Rows.TotalBytes()
+	case s.Ping != nil:
+		return telemetry.PingProbeWireSize * int64(s.Len())
+	case s.ToR != nil:
+		return telemetry.ToRProbeWireSize * int64(s.Len())
+	}
+	var total int64
+	if s.Sel != nil {
+		for _, i := range s.Sel {
+			total += s.rowBytes(int(i))
+		}
+		return total
+	}
+	for i := 0; i < len(s.Times); i++ {
+		total += s.rowBytes(i)
+	}
+	return total
+}
 
 // TotalBytes returns the sum of live rows' accounting wire sizes — the
-// columnar equivalent of telemetry.Batch.TotalBytes. Fixed-size payload
-// sections (probes) sum in O(1); only variable-size payloads walk rows.
+// columnar equivalent of telemetry.Batch.TotalBytes.
 func (cb *ColumnarBatch) TotalBytes() int64 {
 	var total int64
 	for si := range cb.Secs {
-		s := &cb.Secs[si]
-		switch {
-		case s.Rows != nil:
-			total += s.Rows.TotalBytes()
-		case s.Ping != nil:
-			total += telemetry.PingProbeWireSize * int64(s.Len())
-		case s.ToR != nil:
-			total += telemetry.ToRProbeWireSize * int64(s.Len())
-		case s.Sel != nil:
-			for _, i := range s.Sel {
-				total += s.rowBytes(int(i))
-			}
-		default:
-			for i := 0; i < len(s.Times); i++ {
-				total += s.rowBytes(i)
-			}
-		}
+		total += cb.Secs[si].LiveBytes()
 	}
 	return total
 }
